@@ -10,6 +10,7 @@
 #include "common/timer.h"
 #include "io/io.h"
 #include "nn/checkpoint.h"
+#include "tensor/simd.h"
 
 namespace diffpattern::bench {
 
@@ -142,7 +143,9 @@ std::string write_bench_json(
 #endif
        << "\",\n"
        << "  \"scale\": \"" << current_scale().name << "\",\n"
-       << "  \"threads\": " << diffpattern::common::global_compute_threads();
+       << "  \"threads\": " << diffpattern::common::global_compute_threads()
+       << ",\n  \"kernel_backend\": \"" << tensor::kernel_backend_name()
+       << "\"";
   json << std::setprecision(9);
   for (const auto& [key, value] : metrics) {
     json << ",\n  \"" << key << "\": " << value;

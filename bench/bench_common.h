@@ -64,9 +64,10 @@ inline constexpr int kBenchJsonSchemaVersion = 1;
 
 /// Writes bench_out/BENCH_<name>.json: one flat JSON object holding the
 /// bench name, the schema version, the git describe string of the build,
-/// the DP_BENCH_SCALE in effect, the compute-pool thread count, and the
-/// given metrics — the machine-readable points of the perf trajectory (CI
-/// uploads them as artifacts). Returns the path written.
+/// the DP_BENCH_SCALE in effect, the compute-pool thread count, the active
+/// kernel backend, and the given metrics — the machine-readable points of
+/// the perf trajectory (CI uploads them as artifacts). Returns the path
+/// written.
 std::string write_bench_json(
     const std::string& name,
     const std::vector<std::pair<std::string, double>>& metrics);

@@ -868,6 +868,7 @@ std::string SocketServerCounters::to_json() const {
   out += ",\"requests\":" + std::to_string(requests);
   out += ",\"read_errors\":" + std::to_string(read_errors);
   out += ",\"auth_failures\":" + std::to_string(auth_failures);
+  out += ",\"write_errors\":" + std::to_string(write_errors);
   out += "}";
   return out;
 }
@@ -889,6 +890,7 @@ struct SocketServer::Impl {
   std::atomic<std::int64_t> requests{0};
   std::atomic<std::int64_t> read_errors{0};
   std::atomic<std::int64_t> auth_failures{0};
+  std::atomic<std::int64_t> write_errors{0};
 
   /// Joins every connection thread that announced completion. Called with
   /// `mutex` held. A finishing thread pushes its id under the mutex as its
@@ -957,8 +959,11 @@ struct SocketServer::Impl {
           auth_failures.fetch_add(1, std::memory_order_relaxed);
           const Bytes denial =
               encode_status(Status::PermissionDenied(s.message()));
-          write_all(fd, frame_payload(denial, config.auth_key),
-                    steady_now_ms() + config.io_timeout_ms);
+          if (!write_all(fd, frame_payload(denial, config.auth_key),
+                         steady_now_ms() + config.io_timeout_ms)
+                   .ok()) {
+            write_errors.fetch_add(1, std::memory_order_relaxed);
+          }
         } else {
           // Hostile length / checksum mismatch: the peer is feeding us
           // garbage; drop the connection (the client decodes the close
@@ -979,6 +984,7 @@ struct SocketServer::Impl {
       if (!write_all(fd, frame_payload(response, config.auth_key),
                      write_deadline)
                .ok()) {
+        write_errors.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       if (stopping.load(std::memory_order_relaxed)) {
@@ -1090,6 +1096,7 @@ SocketServerCounters SocketServer::counters() const {
   out.requests = impl_->requests.load(std::memory_order_relaxed);
   out.read_errors = impl_->read_errors.load(std::memory_order_relaxed);
   out.auth_failures = impl_->auth_failures.load(std::memory_order_relaxed);
+  out.write_errors = impl_->write_errors.load(std::memory_order_relaxed);
   return out;
 }
 

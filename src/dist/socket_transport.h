@@ -242,6 +242,7 @@ struct SocketServerCounters {
   std::int64_t requests = 0;           ///< Handler invocations.
   std::int64_t read_errors = 0;        ///< Connections dropped on bad input.
   std::int64_t auth_failures = 0;      ///< Frames failing the keyed tag.
+  std::int64_t write_errors = 0;       ///< Responses that failed to send.
 
   /// Single-line JSON object ({"connections":N,...}).
   std::string to_json() const;

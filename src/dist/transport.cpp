@@ -84,7 +84,8 @@ LoopbackTransport::~LoopbackTransport() = default;
 void LoopbackTransport::register_endpoint(const std::string& name,
                                           WireHandler handler) {
   std::lock_guard<std::mutex> lock(registry_->mutex);
-  registry_->endpoints[name] = Registry::Endpoint{std::move(handler), true};
+  registry_->endpoints[name] =
+      Registry::Endpoint{std::move(handler), true, 0, {}};
 }
 
 void LoopbackTransport::unregister_endpoint(const std::string& name) {

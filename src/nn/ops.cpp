@@ -24,6 +24,14 @@ void require_same_shape(const Var& a, const Var& b, const char* op) {
                  a.value().shape_string() + " vs " + b.value().shape_string());
 }
 
+/// Overflow-free logistic sigmoid with a single libm exp: e = exp(-|v|) is
+/// the value the two-sided form 1/(1+exp(-v)) | exp(v)/(1+exp(v)) computes
+/// on each side, so the bits match it for every finite v (±0 included).
+float logistic(float v) {
+  const float e = std::exp(-std::fabs(v));
+  return v >= 0.0F ? 1.0F / (1.0F + e) : e / (1.0F + e);
+}
+
 Tensor map_unary(const Tensor& x, float (*f)(float)) {
   Tensor out = x;
   float* po = out.data();
@@ -166,10 +174,7 @@ Var relu(const Var& a) {
 }
 
 Var sigmoid(const Var& a) {
-  Tensor out = map_unary(a.value(), [](float x) {
-    return x >= 0.0F ? 1.0F / (1.0F + std::exp(-x))
-                     : std::exp(x) / (1.0F + std::exp(x));
-  });
+  Tensor out = map_unary(a.value(), logistic);
   if (!graph_needed({&a})) {
     return make_value_node(std::move(out));
   }
@@ -196,9 +201,7 @@ Var silu(const Var& a) {
     parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
       for (std::int64_t i = i0; i < i1; ++i) {
         const float v = px[i];
-        const float sig = v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                    : std::exp(v) / (1.0F + std::exp(v));
-        po[i] = v * sig;
+        po[i] = v * logistic(v);
       }
     });
     return make_value_node(std::move(out));
@@ -208,8 +211,7 @@ Var silu(const Var& a) {
   parallel_elements(x.numel(), [&](std::int64_t i0, std::int64_t i1) {
     for (std::int64_t i = i0; i < i1; ++i) {
       const float v = px[i];
-      const float sig = v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                  : std::exp(v) / (1.0F + std::exp(v));
+      const float sig = logistic(v);
       ps[i] = sig;
       po[i] = v * sig;
     }
@@ -295,11 +297,7 @@ Var softplus(const Var& a) {
                       [pa, x = std::move(x)](const Tensor& g) {
                         Tensor d = g;
                         for (std::int64_t i = 0; i < d.numel(); ++i) {
-                          const float v = x[i];
-                          const float sig =
-                              v >= 0.0F ? 1.0F / (1.0F + std::exp(-v))
-                                        : std::exp(v) / (1.0F + std::exp(v));
-                          d[i] *= sig;
+                          d[i] *= logistic(x[i]);
                         }
                         accumulate_grad(*pa, d);
                       });
@@ -585,13 +583,15 @@ Var bmm(const Var& a, const Var& b) {
   const auto m = va.dim(1);
   const auto n = vb.dim(2);
   Tensor out({batch, m, n});
-  // One independent GEMM per batch slice; the slice GEMMs run inline inside
-  // the per-slice tasks (nested regions serialize), so parallelism comes
-  // from the batch axis — the natural grain for the attention scores.
+  const auto k = va.dim(2);
+  // One independent GEMM per batch slice, read and written in place; the
+  // slice GEMMs run inline inside the per-slice tasks (nested regions
+  // serialize), so parallelism comes from the batch axis — the natural
+  // grain for the attention scores.
   tensor::parallel_for(0, batch, [&](std::int64_t b0, std::int64_t b1) {
     for (std::int64_t i = b0; i < b1; ++i) {
-      Tensor ci = tensor::matmul(slice_batch(va, i), slice_batch(vb, i));
-      std::copy(ci.data(), ci.data() + m * n, out.data() + i * m * n);
+      tensor::gemm(va.data() + i * m * k, vb.data() + i * k * n,
+                   out.data() + i * m * n, m, k, n);
     }
   });
   if (!graph_needed({&a, &b})) {
@@ -715,27 +715,17 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   const auto ncols = batch * n_out;
   const Tensor w2d = vw.reshaped({out_ch, geom.patch_size()});
 
-  // Batch-wide convolution: ONE im2col over the whole [N,C,H,W] batch into
-  // [C*kh*kw, N*OH*OW] columns and a single GEMM against the flattened
-  // weight — per-sample column blocks are bitwise what per-sample im2col
-  // produces and each output element accumulates in the same k-ascending
-  // order, so fused batches stay bit-equal to batch-1 runs. At inference
-  // (NoGradGuard: the backward closure below is dropped) the unroll and GEMM
-  // buffers are thread-local scratch reused across calls — one allocation
-  // for a whole denoising chain instead of one per conv per round. Under
-  // autograd the columns must outlive the forward (the weight-grad GEMM
-  // consumes them), so they are freshly allocated and moved into the
-  // closure.
-  static thread_local Tensor t_cols_scratch;
+  // Batch-wide implicit-GEMM convolution: ONE GEMM of the flattened weight
+  // against the virtual [C*kh*kw, N*OH*OW] column matrix, whose strips are
+  // packed straight from the (zero-padded) input — the column matrix is
+  // never built. Each output element accumulates in the same k-ascending
+  // order as per-sample im2col + matmul, so fused batches stay bit-equal to
+  // batch-1 runs. The GEMM output is thread-local scratch reused across
+  // calls; the training closure rebuilds the columns it needs from a copy
+  // of the input instead of keeping them alive from the forward.
   static thread_local Tensor t_gemm_scratch;
-  const bool inference = NoGradGuard::active();
-  Tensor cols_owned;
-  Tensor& cols = inference ? t_cols_scratch : cols_owned;
-  tensor::im2col_batch_into(vx, geom, cols);
-  Tensor y_owned;
-  Tensor& y = inference ? t_gemm_scratch : y_owned;
-  y.resize({out_ch, ncols});
-  tensor::matmul_into(w2d, cols, y);  // [O, N*OH*OW]
+  Tensor& y = t_gemm_scratch;
+  tensor::conv2d_gemm_into(w2d, vx, geom, y);  // [O, N*OH*OW]
 
   // Scatter to [N, O, OH, OW] with the bias folded in.
   Tensor out({batch, out_ch, oh, ow});
@@ -761,10 +751,11 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
   auto px = x.node();
   auto pw = w.node();
   auto pb = b.node();
+  Tensor xc = vx;
   return make_op_node(
       std::move(out), {x, w, b},
       [px, pw, pb, w2d, geom, batch, out_ch, oh, ow,
-       cols = std::move(cols_owned)](const Tensor& g) {
+       xc = std::move(xc)](const Tensor& g) {
         const auto n_out = oh * ow;
         const auto ncols = batch * n_out;
         // Gather g [N,O,OH,OW] into the GEMM layout [O, N*OH*OW] once; the
@@ -796,7 +787,8 @@ Var conv2d(const Var& x, const Var& w, const Var& b, std::int64_t stride,
         }
         if (pw->requires_grad) {
           // gW2d = gy2d * cols^T over the whole batch in one GEMM.
-          Tensor gw2d = tensor::matmul_transpose_b(gy2d, cols);
+          Tensor gw2d = tensor::matmul_transpose_b(
+              gy2d, tensor::im2col_batch(xc, geom));
           accumulate_grad(*pw, gw2d.reshaped(pw->value.shape()));
         }
         if (px->requires_grad) {

@@ -27,10 +27,13 @@
 //     the model's InferencePlanCache keyed by the round's batch shape —
 //     strided sampling narrows the batch as coarse slots finish, and each
 //     narrowed shape gets its own plan.
-//   - Compute-pool worker threads have no scope installed, so temporaries
-//     allocated inside parallel_for bodies fall back to the plain heap
-//     (only bmm's per-slice GEMM buffers today). With a 1-thread pool the
-//     caller runs every chunk inline and the arena sees every allocation.
+//   - Compute-pool worker threads have no scope installed, so a tensor
+//     allocated inside a parallel_for body would fall back to the plain
+//     heap (no inference kernel does that today: bmm multiplies its
+//     slices in place, and the GEMM packing buffers are thread-local
+//     scratch outside the arena).
+//     With a 1-thread pool the caller runs every chunk inline and the
+//     arena sees every allocation.
 //
 // Kill switch: DIFFPATTERN_ARENA=off|0|false disables the feature
 // process-wide (ServiceConfig::activation_arena and the CLI --arena flag

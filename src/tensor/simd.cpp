@@ -1,5 +1,6 @@
 #include "tensor/simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -25,6 +26,27 @@ namespace {
 void scalar_axpy(float a, const float* x, float* y, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) {
     y[i] = std::fma(a, x[i], y[i]);
+  }
+}
+
+void scalar_gemm_tile(std::int64_t k, const float* a, const float* b,
+                      float* c, std::int64_t ldc, std::int64_t mr,
+                      std::int64_t nr, bool /*a_has_zero*/) {
+  for (std::int64_t r = 0; r < mr; ++r) {
+    float acc[kGemmNr] = {};
+    float* crow = c + r * ldc;
+    std::copy(crow, crow + nr, acc);
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const float av = a[kk * kGemmMr + r];
+      if (av == 0.0F) {
+        continue;
+      }
+      const float* brow = b + kk * kGemmNr;
+      for (std::int64_t j = 0; j < kGemmNr; ++j) {
+        acc[j] = std::fma(av, brow[j], acc[j]);
+      }
+    }
+    std::copy(acc, acc + nr, crow);
   }
 }
 
@@ -153,6 +175,7 @@ void scalar_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kScalarTable = {
     .backend = KernelBackend::kScalar,
     .axpy = scalar_axpy,
+    .gemm_tile = scalar_gemm_tile,
     .dot = scalar_dot,
     .add = scalar_add,
     .mul = scalar_mul,
@@ -373,6 +396,7 @@ void neon_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kNeonTable = {
     .backend = KernelBackend::kNeon,
     .axpy = neon_axpy,
+    .gemm_tile = scalar_gemm_tile,
     .dot = neon_dot,
     .add = neon_add,
     .mul = neon_mul,

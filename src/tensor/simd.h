@@ -1,8 +1,8 @@
 // SIMD kernel tier: runtime-dispatched vectorized inner loops.
 //
-// The blocked/parallel kernels in tensor_ops.cpp and the NN forward loops in
-// nn/ops.cpp call through the per-backend kernel table returned by
-// simd::active(). Three backends exist:
+// The packed GEMM and the other kernels in tensor_ops.cpp, and the NN
+// forward loops in nn/ops.cpp, call through the per-backend kernel table
+// returned by simd::active(). Three backends exist:
 //
 //   * scalar — portable C++, runs everywhere. This is also the *canonical
 //     semantics*: every kernel's accumulation order and rounding (fused
@@ -11,7 +11,9 @@
 //   * avx2   — AVX2 + FMA (x86-64), compiled into a separate object library
 //     with -mavx2 -mfma so the portable build still carries it; selected at
 //     runtime only when the CPU reports both features.
-//   * neon   — AArch64 NEON (baseline on that architecture).
+//   * neon   — AArch64 NEON (baseline on that architecture). Its GEMM
+//     micro-kernel is the scalar one: no aarch64 host exists to test a
+//     NEON tile against.
 //
 // Determinism contract: the vector backends implement the scalar canonical
 // order *exactly* — same per-element fused operations, same lane-split
@@ -80,6 +82,15 @@ common::Status set_kernel_backend_name(const std::string& name);
 
 namespace simd {
 
+/// Register tile of the packed GEMM micro-kernel: kGemmMr rows of A times
+/// kGemmNr columns of B. The packing layout (tensor_ops.cpp) follows it for
+/// every backend: an A panel stores kGemmMr rows k-major
+/// (a[kk * kGemmMr + r]), a B panel stores kGemmNr columns k-major
+/// (b[kk * kGemmNr + j]); rows and columns past the matrix edge are packed
+/// as zeros and their results are never stored.
+inline constexpr std::int64_t kGemmMr = 6;
+inline constexpr std::int64_t kGemmNr = 16;
+
 /// Per-backend kernel table. Every function implements the canonical
 /// semantics documented at the top of this header; `n` is an element count
 /// and all pointers may overlap only where a parameter is documented as
@@ -87,8 +98,20 @@ namespace simd {
 struct Kernels {
   KernelBackend backend;
 
-  /// y[i] = fma(a, x[i], y[i]) for i in [0,n) — the GEMM axpy micro-kernel.
+  /// y[i] = fma(a, x[i], y[i]) for i in [0,n) — the A^T·B GEMM row update.
   void (*axpy)(float a, const float* x, float* y, std::int64_t n);
+
+  /// Packed GEMM micro-kernel over one tile: for r < mr, j < nr and kk
+  /// ascending in [0,k), c[r*ldc + j] = fma(a[kk*kGemmMr + r],
+  /// b[kk*kGemmNr + j], c[r*ldc + j]), skipping every kk whose A entry is
+  /// zero (so an accumulator never passes through fma(0, b, c): that would
+  /// turn -0 into +0 and an inf/NaN in B into NaN). Zero entries of B are
+  /// not skipped. `a_has_zero` is false only when no A entry of the mr
+  /// valid rows is zero, letting a backend drop the per-entry test; the
+  /// result is the same either way. mr in [1, kGemmMr], nr in [1, kGemmNr].
+  void (*gemm_tile)(std::int64_t k, const float* a, const float* b,
+                    float* c, std::int64_t ldc, std::int64_t mr,
+                    std::int64_t nr, bool a_has_zero);
 
   /// Canonical lane-split fused dot product: 8 partial accumulators
   /// (lane l owns i ≡ l mod 8 over full 8-blocks, the tail folds into

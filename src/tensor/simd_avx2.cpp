@@ -16,6 +16,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace diffpattern::tensor::simd {
@@ -31,6 +32,91 @@ void avx2_axpy(float a, const float* x, float* y, std::int64_t n) {
   }
   for (; i < n; ++i) {
     y[i] = std::fma(a, x[i], y[i]);
+  }
+}
+
+/// kRows x 16 register tile: 2*kRows accumulators, two B vectors and one
+/// broadcast A entry per k step (kRows = 6 fills 15 of the 16 ymm
+/// registers). The has-zero form blends the old accumulator back wherever
+/// the broadcast A entry is zero, which is the canonical skip without a
+/// branch.
+template <int kRows>
+void avx2_tile_rows(std::int64_t k, const float* a, const float* b, float* c,
+                    std::int64_t ldc, bool a_has_zero) {
+  __m256 lo[kRows];
+  __m256 hi[kRows];
+#pragma GCC unroll 6
+  for (int r = 0; r < kRows; ++r) {
+    lo[r] = _mm256_loadu_ps(c + r * ldc);
+    hi[r] = _mm256_loadu_ps(c + r * ldc + 8);
+  }
+  if (!a_has_zero) {
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * kGemmNr);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * kGemmNr + 8);
+#pragma GCC unroll 6
+      for (int r = 0; r < kRows; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + kk * kGemmMr + r);
+        lo[r] = _mm256_fmadd_ps(av, b0, lo[r]);
+        hi[r] = _mm256_fmadd_ps(av, b1, hi[r]);
+      }
+    }
+  } else {
+    const __m256 zero = _mm256_setzero_ps();
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      const __m256 b0 = _mm256_loadu_ps(b + kk * kGemmNr);
+      const __m256 b1 = _mm256_loadu_ps(b + kk * kGemmNr + 8);
+#pragma GCC unroll 6
+      for (int r = 0; r < kRows; ++r) {
+        const __m256 av = _mm256_broadcast_ss(a + kk * kGemmMr + r);
+        const __m256 skip = _mm256_cmp_ps(av, zero, _CMP_EQ_OQ);
+        lo[r] = _mm256_blendv_ps(_mm256_fmadd_ps(av, b0, lo[r]), lo[r], skip);
+        hi[r] = _mm256_blendv_ps(_mm256_fmadd_ps(av, b1, hi[r]), hi[r], skip);
+      }
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < kRows; ++r) {
+    _mm256_storeu_ps(c + r * ldc, lo[r]);
+    _mm256_storeu_ps(c + r * ldc + 8, hi[r]);
+  }
+}
+
+void avx2_tile(std::int64_t k, const float* a, const float* b, float* c,
+               std::int64_t ldc, std::int64_t mr, bool a_has_zero) {
+  switch (mr) {
+    case 1:
+      return avx2_tile_rows<1>(k, a, b, c, ldc, a_has_zero);
+    case 2:
+      return avx2_tile_rows<2>(k, a, b, c, ldc, a_has_zero);
+    case 3:
+      return avx2_tile_rows<3>(k, a, b, c, ldc, a_has_zero);
+    case 4:
+      return avx2_tile_rows<4>(k, a, b, c, ldc, a_has_zero);
+    case 5:
+      return avx2_tile_rows<5>(k, a, b, c, ldc, a_has_zero);
+    default:
+      return avx2_tile_rows<6>(k, a, b, c, ldc, a_has_zero);
+  }
+}
+
+void avx2_gemm_tile(std::int64_t k, const float* a, const float* b, float* c,
+                    std::int64_t ldc, std::int64_t mr, std::int64_t nr,
+                    bool a_has_zero) {
+  static_assert(kGemmMr == 6 && kGemmNr == 16, "tile shape is hard-wired");
+  if (nr == kGemmNr) {
+    avx2_tile(k, a, b, c, ldc, mr, a_has_zero);
+    return;
+  }
+  // Column tail: run the full-width tile on a local copy (packed B columns
+  // past nr are zeros) and store back only the nr valid columns.
+  alignas(32) float tile[kGemmMr * kGemmNr] = {};
+  for (std::int64_t r = 0; r < mr; ++r) {
+    std::copy(c + r * ldc, c + r * ldc + nr, tile + r * kGemmNr);
+  }
+  avx2_tile(k, a, b, tile, kGemmNr, mr, a_has_zero);
+  for (std::int64_t r = 0; r < mr; ++r) {
+    std::copy(tile + r * kGemmNr, tile + r * kGemmNr + nr, c + r * ldc);
   }
 }
 
@@ -210,6 +296,7 @@ void avx2_normalize_affine_rows(const float* x, float mean, float istd,
 constexpr Kernels kAvx2Table = {
     .backend = KernelBackend::kAvx2,
     .axpy = avx2_axpy,
+    .gemm_tile = avx2_gemm_tile,
     .dot = avx2_dot,
     .add = avx2_add,
     .mul = avx2_mul,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/contracts.h"
 #include "tensor/parallel.h"
@@ -16,13 +18,6 @@ void require_matrix(const Tensor& t, const char* name) {
                                 t.shape_string());
 }
 
-/// Column-tile width for the (i, k, j) GEMM kernels: the output row tile
-/// stays hot in L1 while a K-panel of B streams through. Tiling only
-/// reorders WHICH elements are touched when — each element's k-ascending
-/// accumulation order is unchanged, so results stay bit-equal to the
-/// reference kernels.
-constexpr std::int64_t kColumnTile = 512;
-
 /// Minimum multiply-accumulates per parallel chunk; rows are cheap enough
 /// below this that pool dispatch dominates.
 constexpr std::int64_t kGemmGrainFlops = 32 * 1024;
@@ -33,28 +28,110 @@ std::int64_t row_grain(std::int64_t flops_per_row) {
                                                       1, flops_per_row));
 }
 
-/// One output row of C += A * B: crow[j] = fma(arow[k], b[k][j], crow[j]),
-/// k ascending per element through the dispatched axpy micro-kernel
-/// (canonical fused accumulation — see tensor/simd.h), skipping zero A
-/// entries (binary topologies make A sparse on several hot paths; adding
-/// exact zeros is a no-op for finite values).
-void gemm_row(const simd::Kernels& kern, const float* arow, const float* pb,
-              float* crow, std::int64_t k, std::int64_t n) {
-  for (std::int64_t j0 = 0; j0 < n; j0 += kColumnTile) {
-    const auto j1 = std::min(n, j0 + kColumnTile);
+using simd::kGemmMr;
+using simd::kGemmNr;
+
+/// Grow-only, 64-byte-aligned float scratch. The packing buffers below are
+/// thread-local instances: sized once by the largest GEMM a thread runs,
+/// then reused by every call (no per-call allocation, and no tensor
+/// storage, so the inference arena's allocation counts never see them).
+class PackBuffer {
+ public:
+  float* get(std::int64_t n) {
+    const auto need = static_cast<std::size_t>(n) + kAlignFloats;
+    if (storage_.size() < need) {
+      storage_.resize(need);
+    }
+    const auto addr = reinterpret_cast<std::uintptr_t>(storage_.data());
+    return reinterpret_cast<float*>((addr + kAlignBytes - 1) &
+                                    ~std::uintptr_t{kAlignBytes - 1});
+  }
+
+ private:
+  static constexpr std::uintptr_t kAlignBytes = 64;
+  static constexpr std::size_t kAlignFloats = kAlignBytes / sizeof(float);
+  std::vector<float> storage_;
+};
+
+/// B strip source for a row-major matrix B[k, n]: strip columns
+/// [j0, j0 + nr) copied k-major into kGemmNr-wide rows, zero-padded.
+struct MatrixStrips {
+  const float* b;
+  std::int64_t k;
+  std::int64_t n;
+
+  void pack(std::int64_t j0, std::int64_t nr, float* dst) const {
     for (std::int64_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0F) {
-        continue;
-      }
-      kern.axpy(av, pb + kk * n + j0, crow + j0, j1 - j0);
+      const float* src = b + kk * n + j0;
+      float* d = dst + kk * kGemmNr;
+      std::copy(src, src + nr, d);
+      std::fill(d + nr, d + kGemmNr, 0.0F);
     }
   }
+};
+
+/// C[m, n] += A[m, k] · B[k, n] through the packed micro-kernel. A is packed
+/// once into kGemmMr-row panels (k-major, flagged when a panel holds a zero
+/// entry); B is packed one kGemmNr-column strip at a time by `strips`, into
+/// a thread-local buffer that stays in L1 while every A panel runs over it.
+/// Each output element is owned by exactly one tile and accumulates k
+/// ascending with one fma per nonzero A entry, so the bytes are the same
+/// for every backend, thread count and strip partition.
+template <typename Strips>
+void packed_gemm(const float* a, float* c, std::int64_t m, std::int64_t k,
+                 std::int64_t n, const Strips& strips) {
+  if (m == 0 || n == 0 || k == 0) {
+    return;
+  }
+  const auto& kern = simd::active();
+  const auto panels = (m + kGemmMr - 1) / kGemmMr;
+  thread_local PackBuffer t_a_pack;
+  thread_local std::vector<unsigned char> t_a_zero;
+  float* apack = t_a_pack.get(panels * k * kGemmMr);
+  t_a_zero.assign(static_cast<std::size_t>(panels), 0);
+  for (std::int64_t p = 0; p < panels; ++p) {
+    const auto rows = std::min(kGemmMr, m - p * kGemmMr);
+    float* dst = apack + p * k * kGemmMr;
+    bool has_zero = false;
+    for (std::int64_t kk = 0; kk < k; ++kk) {
+      for (std::int64_t r = 0; r < kGemmMr; ++r) {
+        const float v = r < rows ? a[(p * kGemmMr + r) * k + kk] : 0.0F;
+        has_zero = has_zero || (r < rows && v == 0.0F);
+        dst[kk * kGemmMr + r] = v;
+      }
+    }
+    t_a_zero[static_cast<std::size_t>(p)] = has_zero ? 1 : 0;
+  }
+  const unsigned char* a_zero = t_a_zero.data();
+  const auto n_strips = (n + kGemmNr - 1) / kGemmNr;
+  parallel_for(
+      0, n_strips,
+      [&](std::int64_t s0, std::int64_t s1) {
+        thread_local PackBuffer t_b_pack;
+        float* bpack = t_b_pack.get(k * kGemmNr);
+        for (std::int64_t s = s0; s < s1; ++s) {
+          const auto j0 = s * kGemmNr;
+          const auto nr = std::min(kGemmNr, n - j0);
+          strips.pack(j0, nr, bpack);
+          for (std::int64_t p = 0; p < panels; ++p) {
+            kern.gemm_tile(k, apack + p * k * kGemmMr, bpack,
+                           c + p * kGemmMr * n + j0, n,
+                           std::min(kGemmMr, m - p * kGemmMr), nr,
+                           a_zero[p] != 0);
+          }
+        }
+      },
+      row_grain(m * k * kGemmNr));
 }
 
 }  // namespace
 
-// ---- GEMM family (blocked, row-parallel) ----------------------------------
+// ---- GEMM family (packed, strip-parallel) ---------------------------------
+
+void gemm(const float* a, const float* b, float* c, std::int64_t m,
+          std::int64_t k, std::int64_t n) {
+  packed_gemm(a, c, m, k, n, MatrixStrips{b, k, n});
+}
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   require_matrix(a, "matmul(a)");
@@ -69,37 +146,13 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out) {
-  require_matrix(a, "matmul_into(a)");
-  require_matrix(b, "matmul_into(b)");
-  DP_REQUIRE(a.dim(1) == b.dim(0), "matmul_into: inner dimension mismatch " +
-                                       a.shape_string() + " x " +
-                                       b.shape_string());
-  DP_REQUIRE(out.rank() == 2 && out.dim(0) == a.dim(0) &&
-                 out.dim(1) == b.dim(1),
-             "matmul_into: bad output shape " + out.shape_string());
-  out.fill(0.0F);
-  matmul_accumulate(a, b, out);
-}
-
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out) {
   const auto m = a.dim(0);
   const auto k = a.dim(1);
   const auto n = b.dim(1);
   DP_REQUIRE(out.dim(0) == m && out.dim(1) == n,
              "matmul_accumulate: bad output shape");
-  const float* pa = a.data();
-  const float* pb = b.data();
-  float* pc = out.data();
-  const auto& kern = simd::active();
-  parallel_for(
-      0, m,
-      [&](std::int64_t row_begin, std::int64_t row_end) {
-        for (std::int64_t i = row_begin; i < row_end; ++i) {
-          gemm_row(kern, pa + i * k, pb, pc + i * n, k, n);
-        }
-      },
-      row_grain(k * n));
+  gemm(a.data(), b.data(), out.data(), m, k, n);
 }
 
 Tensor matmul_transpose_a(const Tensor& a, const Tensor& b) {
@@ -244,8 +297,7 @@ Tensor im2col(const Tensor& image, const Conv2dGeometry& geom) {
   return cols;
 }
 
-void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
-                       Tensor& cols) {
+Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
   DP_REQUIRE(images.rank() == 4, "im2col_batch: expected [N,C,H,W]");
   DP_REQUIRE(images.dim(1) == geom.in_channels &&
                  images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
@@ -255,7 +307,7 @@ void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
   const auto n_out = geom.out_h() * geom.out_w();
   DP_REQUIRE(n_out > 0, "im2col_batch: empty output window");
   const auto ncols = batch * n_out;
-  cols.resize({geom.patch_size(), ncols});
+  Tensor cols({geom.patch_size(), ncols});
   const auto per_sample = images.numel() / batch;
   const float* src = images.data();
   float* dst = cols.data();
@@ -264,11 +316,6 @@ void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
       im2col_block(src + n * per_sample, geom, dst, n * n_out, ncols);
     }
   });
-}
-
-Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom) {
-  Tensor cols;
-  im2col_batch_into(images, geom, cols);
   return cols;
 }
 
@@ -303,6 +350,146 @@ Tensor col2im_batch(const Tensor& columns, const Conv2dGeometry& geom,
     }
   });
   return images;
+}
+
+// ---- implicit-GEMM convolution --------------------------------------------
+
+namespace {
+
+/// Columns of one B strip that are consecutive output pixels of one image
+/// row: they read `len` taps `stride` apart starting at padded-input offset
+/// `src`, into strip columns [col, col + len).
+struct PixelRun {
+  std::int64_t src;
+  std::int64_t col;
+  std::int64_t len;
+};
+
+/// B strip source for the implicit convolution GEMM. Column j of the
+/// virtual im2col_batch matrix is output pixel j = (n*OH + oy)*OW + ox and
+/// row kk = (c*kh + ky)*kw + kx; its value is read straight from a
+/// zero-padded [N, C, H+2p, W+2p] copy of the input, so padding taps pack
+/// as +0.0 exactly as im2col writes them and no row needs a bounds test.
+struct ConvStrips {
+  const float* padded;
+  Conv2dGeometry geom;
+  std::int64_t hp;
+  std::int64_t wp;
+
+  /// Copies every (c, ky, kx) row of the strip run by run. kLen > 0 is the
+  /// stride-1 case where all runs have that length (a whole output row, or
+  /// a strip-wide piece of one), so each copy is a fixed-size move.
+  template <std::int64_t kLen>
+  void pack_rows(const PixelRun* runs, int count, std::int64_t nr,
+                 float* dst) const {
+    const auto plane = hp * wp;
+    std::int64_t kk = 0;
+    for (std::int64_t c = 0; c < geom.in_channels; ++c) {
+      for (std::int64_t ky = 0; ky < geom.kernel_h; ++ky) {
+        for (std::int64_t kx = 0; kx < geom.kernel_w; ++kx, ++kk) {
+          const float* src = padded + c * plane + ky * wp + kx;
+          float* d = dst + kk * kGemmNr;
+          for (int r = 0; r < count; ++r) {
+            const float* from = src + runs[r].src;
+            float* to = d + runs[r].col;
+            if constexpr (kLen > 0) {
+              std::copy(from, from + kLen, to);
+            } else {
+              for (std::int64_t t = 0; t < runs[r].len; ++t) {
+                to[t] = from[t * geom.stride];
+              }
+            }
+          }
+          std::fill(d + nr, d + kGemmNr, 0.0F);
+        }
+      }
+    }
+  }
+
+  void pack(std::int64_t j0, std::int64_t nr, float* dst) const {
+    const auto ow = geom.out_w();
+    const auto n_out = geom.out_h() * ow;
+    const auto sample = geom.in_channels * hp * wp;
+    PixelRun runs[kGemmNr];
+    int count = 0;
+    bool uniform = geom.stride == 1 && nr == kGemmNr;
+    for (std::int64_t col = 0; col < nr; ++count) {
+      const auto j = j0 + col;
+      const auto pix = j % n_out;
+      const auto oy = pix / ow;
+      const auto ox = pix % ow;
+      const auto len = std::min(nr - col, ow - ox);
+      runs[count] = {(j / n_out) * sample + (oy * wp + ox) * geom.stride,
+                     col, len};
+      uniform = uniform && len == runs[0].len;
+      col += len;
+    }
+    switch (uniform ? runs[0].len : 0) {
+      case 16:
+        pack_rows<16>(runs, count, nr, dst);
+        break;
+      case 8:
+        pack_rows<8>(runs, count, nr, dst);
+        break;
+      case 4:
+        pack_rows<4>(runs, count, nr, dst);
+        break;
+      default:
+        pack_rows<0>(runs, count, nr, dst);
+        break;
+    }
+  }
+};
+
+}  // namespace
+
+void conv2d_gemm_into(const Tensor& w2d, const Tensor& images,
+                      const Conv2dGeometry& geom, Tensor& y) {
+  require_matrix(w2d, "conv2d_gemm_into(w2d)");
+  DP_REQUIRE(images.rank() == 4, "conv2d_gemm_into: expected [N,C,H,W]");
+  DP_REQUIRE(images.dim(1) == geom.in_channels &&
+                 images.dim(2) == geom.in_h && images.dim(3) == geom.in_w,
+             "conv2d_gemm_into: geometry mismatch with batch " +
+                 images.shape_string());
+  DP_REQUIRE(w2d.dim(1) == geom.patch_size(),
+             "conv2d_gemm_into: weight is not [O, C*kh*kw]");
+  const auto batch = images.dim(0);
+  const auto n_out = geom.out_h() * geom.out_w();
+  DP_REQUIRE(n_out > 0, "conv2d_gemm_into: empty output window");
+  const auto m = w2d.dim(0);
+  const auto ncols = batch * n_out;
+  y.resize({m, ncols});
+  y.fill(0.0F);
+
+  ConvStrips strips{images.data(), geom, geom.in_h, geom.in_w};
+  if (geom.padding > 0) {
+    // Zero-padded copy of the input: (H+2p)(W+2p)/(HW) of the input bytes,
+    // against kh*kw times them for the column matrix.
+    const auto pad = geom.padding;
+    strips.hp = geom.in_h + 2 * pad;
+    strips.wp = geom.in_w + 2 * pad;
+    const auto planes = batch * geom.in_channels;
+    const auto plane = strips.hp * strips.wp;
+    thread_local PackBuffer t_padded;
+    float* padded = t_padded.get(planes * plane);
+    const float* src = images.data();
+    parallel_for(
+        0, planes,
+        [&](std::int64_t q0, std::int64_t q1) {
+          for (std::int64_t q = q0; q < q1; ++q) {
+            float* dplane = padded + q * plane;
+            std::fill(dplane, dplane + plane, 0.0F);
+            for (std::int64_t iy = 0; iy < geom.in_h; ++iy) {
+              const float* srow = src + (q * geom.in_h + iy) * geom.in_w;
+              std::copy(srow, srow + geom.in_w,
+                        dplane + (iy + pad) * strips.wp + pad);
+            }
+          }
+        },
+        std::max<std::int64_t>(1, kElementwiseGrain / plane));
+    strips.padded = padded;
+  }
+  packed_gemm(w2d.data(), y.data(), m, geom.patch_size(), ncols, strips);
 }
 
 // ---- reductions / elementwise ---------------------------------------------

@@ -1,16 +1,19 @@
 // Raw numeric kernels over Tensor: GEMM, im2col/col2im, reductions.
 //
 // These are the non-differentiable building blocks; gradient bookkeeping is
-// layered on top in src/nn. The GEMM family and the batch-wide convolution
-// unrolls run blocked and row-parallel on the process-wide compute pool
-// (src/tensor/parallel.h), with the inner loops routed through the
-// runtime-dispatched SIMD kernel tier (src/tensor/simd.h: scalar, AVX2/FMA,
-// NEON). Every kernel keeps the canonical fused accumulation order defined
-// by the scalar backend, so results are byte-identical for any thread count
-// and any backend. The original single-threaded mul-then-add kernels are
-// retained under tensor::reference as the test oracle; the canonical fused
-// kernels agree with them within a small ULP bound
-// (tests/test_simd_kernels.cpp), not bitwise.
+// layered on top in src/nn. matmul, matmul_accumulate, gemm and the
+// convolution forward all run one packed GEMM: A is packed into
+// kGemmMr-row panels, B one kGemmNr-column strip at a time (from a matrix,
+// or straight from the zero-padded image for conv2d_gemm_into), and the
+// runtime-dispatched register-tile micro-kernel (src/tensor/simd.h: scalar,
+// AVX2/FMA, NEON) accumulates each tile. Strips, and the other kernels'
+// rows or samples, are spread over the process-wide compute pool
+// (src/tensor/parallel.h). Every kernel keeps the canonical fused
+// accumulation order defined by the scalar backend, so results are
+// byte-identical for any thread count and any backend. The original
+// single-threaded mul-then-add kernels are retained under tensor::reference
+// as the test oracle; the canonical fused kernels agree with them within a
+// small ULP bound (tests/test_simd_kernels.cpp), not bitwise.
 #pragma once
 
 #include <cstdint>
@@ -19,12 +22,13 @@
 
 namespace diffpattern::tensor {
 
+/// C[M,N] += A[M,K] * B[K,N] over raw row-major buffers — the packed GEMM
+/// every matmul form (and each bmm slice) runs through.
+void gemm(const float* a, const float* b, float* c, std::int64_t m,
+          std::int64_t k, std::int64_t n);
+
 /// C[M,N] = A[M,K] * B[K,N].
 Tensor matmul(const Tensor& a, const Tensor& b);
-
-/// C[M,N] = A[M,K] * B[K,N] written into `out` (shape-checked, zeroed
-/// first) — the allocation-free form for scratch-buffer reuse.
-void matmul_into(const Tensor& a, const Tensor& b, Tensor& out);
 
 /// C[M,N] += A[M,K] * B[K,N] accumulated into `out` (shapes must match).
 void matmul_accumulate(const Tensor& a, const Tensor& b, Tensor& out);
@@ -64,10 +68,13 @@ Tensor im2col(const Tensor& image, const Conv2dGeometry& geom);
 /// bit-equal to the per-sample path.
 Tensor im2col_batch(const Tensor& images, const Conv2dGeometry& geom);
 
-/// Allocation-free im2col_batch: resizes `cols` (reusing its storage across
-/// denoising rounds) and overwrites every entry.
-void im2col_batch_into(const Tensor& images, const Conv2dGeometry& geom,
-                       Tensor& cols);
+/// y[O, N*OH*OW] = w2d[O, C*kh*kw] * im2col_batch(images, geom) as an
+/// implicit GEMM: B strips are packed straight from a zero-padded copy of
+/// the NCHW batch, so the column matrix is never built. Byte-identical to
+/// matmul(w2d, im2col_batch(images, geom)). Resizes `y` (reusing its
+/// storage) and overwrites every entry.
+void conv2d_gemm_into(const Tensor& w2d, const Tensor& images,
+                      const Conv2dGeometry& geom, Tensor& y);
 
 /// Adjoint of im2col: folds columns [C*kh*kw, OH*OW] back into an image
 /// [C,H,W], accumulating overlapping contributions.

@@ -337,3 +337,60 @@ TEST(ParallelKernels, Conv2dGradientsBitwiseEqualAcrossPoolSizes) {
     }
   }
 }
+
+TEST(ParallelKernels, ImplicitGemmConvMatchesIm2colMatmulBytewise) {
+  ThreadsGuard guard;
+  struct Case {
+    std::int64_t h;
+    std::int64_t w;
+    std::int64_t kernel;
+    std::int64_t stride;
+    std::int64_t padding;
+  };
+  std::vector<Case> cases;
+  // Odd widths (every strip splits into uneven pixel runs) over the full
+  // kernel/stride/padding grid.
+  for (const std::int64_t w : {5, 7}) {
+    for (const std::int64_t kernel : {1, 3}) {
+      for (const std::int64_t stride : {1, 2}) {
+        for (const std::int64_t padding : {0, 1}) {
+          cases.push_back({6, w, kernel, stride, padding});
+        }
+      }
+    }
+  }
+  // The U-Net's square levels: output rows of 16, 8 and 4 pixels (the
+  // fixed-length run copies), and the stride-2 downsample.
+  cases.push_back({16, 16, 3, 1, 1});
+  cases.push_back({8, 8, 3, 1, 1});
+  cases.push_back({4, 4, 3, 1, 1});
+  cases.push_back({8, 8, 3, 2, 1});
+  cases.push_back({8, 8, 1, 1, 0});
+  for (const std::int64_t batch : {1, 3, 16}) {
+    for (const auto& c : cases) {
+      dc::Rng rng(37);
+      dt::Conv2dGeometry geom;
+      geom.in_channels = 3;
+      geom.in_h = c.h;
+      geom.in_w = c.w;
+      geom.kernel_h = c.kernel;
+      geom.kernel_w = c.kernel;
+      geom.stride = c.stride;
+      geom.padding = c.padding;
+      Tensor x = random_tensor({batch, 3, c.h, c.w}, rng);
+      x[0] = -0.0F;  // Padding taps must still run fma(a, +0, c).
+      Tensor w2d = random_tensor({7, geom.patch_size()}, rng);
+      w2d[1] = 0.0F;  // A zero weight takes the has-zero panel path.
+      const Tensor want = dt::matmul(w2d, dt::im2col_batch(x, geom));
+      for (const auto threads : kPoolSizes) {
+        ASSERT_TRUE(dc::set_global_compute_threads(threads).ok());
+        Tensor got;
+        dt::conv2d_gemm_into(w2d, x, geom, got);
+        EXPECT_TRUE(bitwise_equal(got, want))
+            << "batch=" << batch << " " << c.h << "x" << c.w
+            << " k=" << c.kernel << " s=" << c.stride << " p=" << c.padding
+            << " threads=" << threads;
+      }
+    }
+  }
+}

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -166,6 +167,149 @@ TEST(SimdKernels, AxpyBackendParityAndTailCoverage) {
                     std::abs(got[i] - naive) <= 2e-6F)
             << "n=" << n << " i=" << i << ": " << got[i] << " vs " << naive;
       }
+    }
+  }
+}
+
+namespace {
+
+/// Equal bit for bit, except that any two NaNs match (an inf - inf inside
+/// an fma yields the host's default NaN, whose payload is not part of the
+/// canonical semantics).
+bool same_bits_or_both_nan(float got, float want) {
+  if (std::isnan(got) || std::isnan(want)) {
+    return std::isnan(got) && std::isnan(want);
+  }
+  return std::memcmp(&got, &want, sizeof(float)) == 0;
+}
+
+/// The canonical GEMM written out in full: one fma per k, k ascending,
+/// every zero A entry skipped — the oracle for the packed micro-kernel.
+Tensor canonical_gemm(const Tensor& a, const Tensor& b, const Tensor& c0) {
+  Tensor c = c0;
+  const auto m = a.dim(0);
+  const auto k = a.dim(1);
+  const auto n = b.dim(1);
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = c[i * n + j];
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        const float av = a[i * k + kk];
+        if (av != 0.0F) {
+          acc = std::fma(av, b[kk * n + j], acc);
+        }
+      }
+      c[i * n + j] = acc;
+    }
+  }
+  return c;
+}
+
+}  // namespace
+
+TEST(SimdKernels, GemmTileBackendParityAtEveryTail) {
+  dc::Rng rng(211);
+  constexpr auto kMr = dt::simd::kGemmMr;
+  constexpr auto kNr = dt::simd::kGemmNr;
+  constexpr std::int64_t kLdc = kNr + 3;  // Wider than a tile: no overrun.
+  const auto* scalar = dt::simd::table_for(KernelBackend::kScalar);
+  for (const std::int64_t k : {1, 7, 33}) {
+    const Tensor a = random_tensor({k * kMr}, rng);
+    Tensor a_zero = a;
+    for (std::int64_t i = 0; i < a_zero.numel(); i += 5) {
+      a_zero[i] = 0.0F;
+    }
+    const Tensor b = random_tensor({k * kNr}, rng);
+    const Tensor c0 = random_tensor({kMr * kLdc}, rng);
+    for (std::int64_t mr = 1; mr <= kMr; ++mr) {
+      for (std::int64_t nr = 1; nr <= kNr; ++nr) {
+        Tensor want = c0;
+        scalar->gemm_tile(k, a.data(), b.data(), want.data(), kLdc, mr, nr,
+                          false);
+        Tensor want_zero = c0;
+        scalar->gemm_tile(k, a_zero.data(), b.data(), want_zero.data(), kLdc,
+                          mr, nr, true);
+        for (std::int64_t i = 0; i < c0.numel(); ++i) {
+          if (i % kLdc >= nr || i / kLdc >= mr) {
+            ASSERT_EQ(want[i], c0[i]) << "wrote outside the tile";
+          }
+        }
+        for (const auto backend : backends_under_test()) {
+          const auto* table = dt::simd::table_for(backend);
+          const auto label = std::string(dt::kernel_backend_label(backend)) +
+                             " k=" + std::to_string(k) +
+                             " mr=" + std::to_string(mr) +
+                             " nr=" + std::to_string(nr);
+          Tensor got = c0;
+          table->gemm_tile(k, a.data(), b.data(), got.data(), kLdc, mr, nr,
+                           false);
+          EXPECT_TRUE(bitwise_equal(got, want)) << label;
+          // The has-zero form is the same function of the data.
+          got = c0;
+          table->gemm_tile(k, a.data(), b.data(), got.data(), kLdc, mr, nr,
+                           true);
+          EXPECT_TRUE(bitwise_equal(got, want)) << label << " flagged";
+          got = c0;
+          table->gemm_tile(k, a_zero.data(), b.data(), got.data(), kLdc, mr,
+                           nr, true);
+          EXPECT_TRUE(bitwise_equal(got, want_zero)) << label << " zeros";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, GemmZeroSkipMatchesCanonicalLoop) {
+  BackendGuard guard;
+  dc::Rng rng(223);
+  // 13 rows = panels of 6, 6 and 1; 19 columns = a full strip and a tail.
+  constexpr std::int64_t kM = 13;
+  constexpr std::int64_t kK = 9;
+  constexpr std::int64_t kN = 19;
+  Tensor a = random_tensor({kM, kK}, rng);
+  Tensor b = random_tensor({kK, kN}, rng);
+  Tensor c0 = random_tensor({kM, kN}, rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Row 0 is all zeros over -0.0 accumulators: fma(0, b, -0) would give +0.
+  for (std::int64_t kk = 0; kk < kK; ++kk) {
+    a[kk] = 0.0F;
+  }
+  for (std::int64_t j = 0; j < kN; ++j) {
+    c0[j] = -0.0F;
+    c0[5 * kN + j] = -0.0F;
+  }
+  // Rows 1-5 (same panel) carry zeros exactly where B holds inf/NaN; the
+  // second panel (rows 6-11) has no zero at all; row 12 is a zero-only-
+  // at-k=2 tail panel.
+  for (std::int64_t i = 1; i < 6; ++i) {
+    a[i * kK + 2] = 0.0F;
+    a[i * kK + 4] = -0.0F;
+  }
+  a[5 * kK + 0] = 0.0F;
+  a[12 * kK + 2] = 0.0F;
+  b[2 * kN + 0] = inf;
+  b[2 * kN + 7] = -inf;
+  b[2 * kN + 17] = nan;
+  b[4 * kN + 3] = nan;
+  b[4 * kN + 16] = -inf;
+  const Tensor want = canonical_gemm(a, b, c0);
+  ASSERT_TRUE(std::signbit(want[0]));  // Row 0 kept its -0.0.
+  for (const auto backend : backends_under_test()) {
+    ASSERT_TRUE(dt::set_kernel_backend(backend).ok());
+    Tensor got = c0;
+    dt::matmul_accumulate(a, b, got);
+    for (std::int64_t i = 0; i < got.numel(); ++i) {
+      ASSERT_TRUE(same_bits_or_both_nan(got[i], want[i]))
+          << dt::kernel_backend_label(backend) << " (" << i / kN << ","
+          << i % kN << "): " << got[i] << " vs " << want[i];
+    }
+    // Zero-filled output: matmul starts every element at +0.0.
+    const Tensor fresh = dt::matmul(a, b);
+    const Tensor want_fresh = canonical_gemm(a, b, Tensor({kM, kN}, 0.0F));
+    for (std::int64_t i = 0; i < fresh.numel(); ++i) {
+      ASSERT_TRUE(same_bits_or_both_nan(fresh[i], want_fresh[i]))
+          << dt::kernel_backend_label(backend) << " fresh i=" << i;
     }
   }
 }
